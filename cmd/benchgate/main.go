@@ -3,19 +3,22 @@
 // exit status 1 — when a tracked metric regressed beyond the threshold.
 // It is the CI regression gate for the engine's headline numbers: the
 // cold grounding cost, the sequential and warm certain-order query costs
-// of the solver table, and the gadget solve times and learned-clause
-// counts of the hardness table.
+// of the solver table, the delta-apply cost of the incremental table,
+// and the gadget solve times and learned-clause counts of the hardness
+// table.
 //
 // Usage:
 //
 //	go run ./cmd/currencybench -table solver -json > fresh.json
+//	go run ./cmd/currencybench -table incremental -json >> fresh.json
 //	go run ./cmd/currencybench -table hardness -json >> fresh.json
 //	go run ./cmd/benchgate -baseline BENCH_solver.json -fresh fresh.json
 //
 // The baseline file is append-only history (one JSON object per line);
 // the gate compares each fresh row against the LAST baseline row with
 // the same key — (table, entities) for solver rows, (experiment, mode,
-// size) for hardness rows — so committing a new generation of rows
+// size) for hardness rows, (experiment, delta_kind, entities) for
+// incremental rows — so committing a new generation of rows
 // rebases the gate. Rows and metrics missing on either side are
 // reported but never fail the gate (new experiments must be landable),
 // and one-shot timings on shared runners are noisy, so the default
@@ -66,6 +69,15 @@ func (r row) key() (string, bool) {
 			}
 		}
 		return k, true
+	case "incremental":
+		// One row per (experiment, delta kind, spec size).
+		exp, _ := r["experiment"].(string)
+		kind, _ := r["delta_kind"].(string)
+		ents, ok := r.num("entities")
+		if exp == "" || kind == "" || !ok {
+			return "", false
+		}
+		return fmt.Sprintf("%s/%s/%s/entities=%d", table, exp, kind, int(ents)), true
 	case "cluster":
 		// One row per (experiment, ring shape): forwarding keyed by node
 		// count, replication and patch-throughput additionally by the
@@ -115,7 +127,7 @@ func main() {
 	fresh := flag.String("fresh", "", "freshly measured rows (JSON lines)")
 	threshold := flag.Float64("threshold", 0.25, "allowed relative regression (0.25 = +25%)")
 	metricsFlag := flag.String("metrics",
-		"warm_cop_ns,cold_ground_ns,cold_seq_ns,decisions_per_query,hardness_solve_ns,learned_clauses,forwarded_query_ns",
+		"warm_cop_ns,cold_ground_ns,cold_seq_ns,decisions_per_query,delta_apply_ns,hardness_solve_ns,learned_clauses,forwarded_query_ns",
 		"comma-separated metrics to gate (rows lacking a metric skip it; latency-style lower-is-better only — patches_per_sec is reported, not gated)")
 	flag.Parse()
 	if *fresh == "" {
@@ -176,7 +188,7 @@ func main() {
 		}
 	}
 	if checked == 0 {
-		log.Fatal("benchgate: no comparable solver or hardness rows found — wrong files?")
+		log.Fatal("benchgate: no comparable rows found — wrong files?")
 	}
 	if failed {
 		log.Fatalf("benchgate: regression beyond +%.0f%% — label the PR skip-bench-gate if the runner is known noisy", *threshold*100)

@@ -264,9 +264,11 @@ func (r *Reasoner) CurrentDBs(limit int) ([]osolve.CurrentDB, bool) {
 // return value reports whether Mod(S) is empty, in which case every tuple
 // is vacuously a certain answer and the returned result is nil.
 //
-// Only the relations mentioned by the query are enumerated: distinct
-// current databases projected onto those relations are exactly the inputs
-// the query can distinguish.
+// The query is compiled once and run on each current database as the
+// enumeration streams it; the walk stops at the first empty
+// intersection, which no later database can refill. Only the relations
+// the query mentions are enumerated unless its plan ranges over the
+// active domain, which spans every relation (query.Plan.NeedsDomain).
 func (r *Reasoner) CertainAnswers(q *query.Query) (*query.Result, bool, error) {
 	return r.snap().certainAnswers(q)
 }
@@ -275,36 +277,44 @@ func (st *engineState) certainAnswers(q *query.Query) (*query.Result, bool, erro
 	return st.certainAnswersBudget(q, osolve.Budget{})
 }
 
-// certainAnswersBudget is certainAnswers under an effort budget: an
-// interrupted enumeration surfaces the interruption error (matching
+// certainAnswersBudget is certainAnswers under an effort budget. An
+// intersection that empties before the budget trips is exact; a budget
+// that trips first surfaces the interruption error (matching
 // osolve.ErrInterrupted) instead of a truncated-and-wrong intersection.
 func (st *engineState) certainAnswersBudget(q *query.Query, b osolve.Budget) (*query.Result, bool, error) {
-	dbs, complete, err := st.solver.EnumerateCurrentDBsBudget(0, b, q.Relations()...)
+	p, err := query.Compile(q)
 	if err != nil {
 		return nil, false, err
 	}
-	if !complete {
-		return nil, false, fmt.Errorf("core: current-database enumeration was truncated")
-	}
-	if len(dbs) == 0 {
-		return nil, true, nil
-	}
 	var acc *query.Result
-	for _, db := range dbs {
-		res, err := query.Eval(q, query.DB(db))
-		if err != nil {
-			return nil, false, err
-		}
+	_, err = st.solver.WalkCurrentDBs(b, dbRelations(q, p), func(db osolve.CurrentDB) bool {
+		res := p.Eval(query.DB(db))
 		if acc == nil {
 			acc = res
 		} else {
 			acc = acc.Intersect(res)
 		}
-		if len(acc.Rows) == 0 {
-			break
-		}
+		return len(acc.Rows) > 0
+	})
+	switch {
+	case acc != nil && len(acc.Rows) == 0:
+		return acc, false, nil
+	case err != nil:
+		return nil, false, err
+	case acc == nil:
+		return nil, true, nil
 	}
 	return acc, false, nil
+}
+
+// dbRelations names the relations a current-database walk for plan p of
+// q must keep: the ones q mentions, or all of them (nil) when p ranges
+// over the active domain.
+func dbRelations(q *query.Query, p *query.Plan) []string {
+	if p.NeedsDomain() {
+		return nil
+	}
+	return q.Relations()
 }
 
 // IsCertainAnswer decides CCQA: is t in Q(LST(Dc)) for every consistent
@@ -322,27 +332,26 @@ func (r *Reasoner) IsCertainAnswer(q *query.Query, t relation.Tuple) (bool, erro
 
 // PossibleAnswers computes the union of Q(LST(Dc)) over all consistent
 // completions — the "possible current answers", a useful companion to
-// certain answers for diagnostics.
+// certain answers for diagnostics. It streams the current databases like
+// CertainAnswers, accumulating the union.
 func (r *Reasoner) PossibleAnswers(q *query.Query) (*query.Result, error) {
-	st := r.snap()
-	dbs, complete := st.solver.EnumerateCurrentDBs(0, q.Relations()...)
-	if !complete {
-		return nil, fmt.Errorf("core: current-database enumeration was truncated")
+	p, err := query.Compile(q)
+	if err != nil {
+		return nil, err
 	}
 	acc := &query.Result{Cols: append([]string(nil), q.Head...)}
 	seen := make(map[string]bool)
-	for _, db := range dbs {
-		res, err := query.Eval(q, query.DB(db))
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range res.Rows {
-			k := row.Key()
-			if !seen[k] {
+	_, err = r.snap().solver.WalkCurrentDBs(osolve.Budget{}, dbRelations(q, p), func(db osolve.CurrentDB) bool {
+		for _, row := range p.Eval(query.DB(db)).Rows {
+			if k := row.Key(); !seen[k] {
 				seen[k] = true
 				acc.Rows = append(acc.Rows, row)
 			}
 		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	acc.Sort()
 	return acc, nil

@@ -280,6 +280,57 @@ func RandomCQQuery(rng *rand.Rand, s *spec.Spec, name string, domain int) *query
 	}
 }
 
+// RandomFOQuery builds a random first-order query over the relations of
+// the specification: atoms whose terms are variables (possibly repeated
+// or shadowed) or constants, comparisons, ∧, ∨, ¬, ∃ and ∀, nested up to
+// three deep. The head is the body's free variables, so the query may be
+// boolean, and unsafe negation or an unrelativized ∀ makes some queries
+// range over the active domain.
+func RandomFOQuery(rng *rand.Rand, s *spec.Spec, name string, domain int) *query.Query {
+	names := []string{"x", "y", "z"}
+	var formula func(depth int, scope []string) query.Formula
+	formula = func(depth int, scope []string) query.Formula {
+		term := func() query.Term {
+			if len(scope) > 0 && rng.Intn(4) != 0 {
+				return query.V(scope[rng.Intn(len(scope))])
+			}
+			if rng.Intn(4) == 0 {
+				return query.C(relation.S(fmt.Sprintf("e%d", rng.Intn(2))))
+			}
+			return query.C(relation.I(int64(rng.Intn(domain))))
+		}
+		if depth == 0 || rng.Intn(5) == 0 {
+			if rng.Intn(3) == 0 {
+				return query.Cmp{L: term(), Op: query.CmpOp(rng.Intn(6)), R: term()}
+			}
+			sc := s.Relations[rng.Intn(len(s.Relations))].Schema
+			ts := make([]query.Term, sc.Arity())
+			for i := range ts {
+				ts[i] = term()
+			}
+			return query.Atom{Rel: sc.Name, Terms: ts}
+		}
+		sub := func() query.Formula { return formula(depth-1, scope) }
+		switch rng.Intn(6) {
+		case 0:
+			return query.And{Fs: []query.Formula{sub(), sub()}}
+		case 1:
+			return query.Or{Fs: []query.Formula{sub(), sub()}}
+		case 2:
+			return query.Not{F: sub()}
+		}
+		v := names[rng.Intn(len(names))]
+		f := formula(depth-1, append(append([]string(nil), scope...), v))
+		if rng.Intn(3) == 0 {
+			return query.Forall{Vars: []string{v}, F: f}
+		}
+		return query.Exists{Vars: []string{v}, F: f}
+	}
+	q := &query.Query{Name: name, Body: formula(1+rng.Intn(3), names[:rng.Intn(3)])}
+	q.Head = q.FreeVars()
+	return q
+}
+
 // RandomSource renders a random specification in the textual wire format
 // of internal/parse — a load-test fixture generator for currencyd: the
 // returned string registers directly via POST /specs.

@@ -80,6 +80,22 @@ func TestRandomCQQueryIsCQ(t *testing.T) {
 	}
 }
 
+func TestRandomFOQueryValidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	s := Random(Default(4))
+	classes := map[query.Lang]int{}
+	for i := 0; i < 200; i++ {
+		q := RandomFOQuery(rng, s, "Q", 3)
+		if err := q.Validate(); err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
+		}
+		classes[query.Classify(q)]++
+	}
+	if classes[query.LangFO] == 0 || classes[query.LangCQ]+classes[query.LangSP] == 0 {
+		t.Errorf("classes %v: want both FO and conjunctive queries", classes)
+	}
+}
+
 func TestRandomConstraintValidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := Random(Default(3))

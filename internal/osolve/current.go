@@ -1,6 +1,7 @@
 package osolve
 
 import (
+	"encoding/binary"
 	"sort"
 	"strings"
 
@@ -65,17 +66,8 @@ func (sv *Solver) PossibleMaxTuples(bi int) []int {
 }
 
 // EnumerateCurrentDBs enumerates the distinct current databases
-// { LST(Dc) : Dc ∈ Mod(S) } by searching over feasible max selections:
-// each consistent completion induces a most-current tuple per block, and
-// each satisfiable forcing of per-block maxima extends to a completion.
-// Results are deduplicated at the value level (two completions whose
-// current instances agree are one result).
-//
-// When rels is non-empty, enumeration and deduplication are restricted to
-// the named relations: the result is the set of distinct current databases
-// projected onto those relations (sound and complete for query answering,
-// since queries only read the relations they mention). Each returned
-// CurrentDB then contains only the named relations.
+// { LST(Dc) : Dc ∈ Mod(S) }, sorted by Key. It collects WalkCurrentDBs;
+// see there for the walk and for what projecting onto rels means.
 //
 // limit > 0 caps the number of distinct results; the second return value
 // reports whether the enumeration was exhaustive (always true when limit
@@ -86,15 +78,61 @@ func (sv *Solver) EnumerateCurrentDBs(limit int, rels ...string) ([]CurrentDB, b
 }
 
 // EnumerateCurrentDBsBudget is EnumerateCurrentDBs under an effort
-// budget: the branch-and-search walk probes the budget at every node,
-// and a tripped budget returns the partial result set with
+// budget: a tripped budget returns the partial result set with
 // complete=false and a non-nil error matching ErrInterrupted. The
 // partial set is sound (every returned database is a real current
 // database) but not complete.
 func (sv *Solver) EnumerateCurrentDBsBudget(limit int, b Budget, rels ...string) ([]CurrentDB, bool, error) {
+	var out []CurrentDB
+	complete, err := sv.WalkCurrentDBs(b, rels, func(db CurrentDB) bool {
+		out = append(out, db)
+		return limit <= 0 || len(out) < limit
+	})
+	keys := make([]string, len(out))
+	for i, db := range out {
+		keys[i] = db.Key()
+	}
+	sort.Sort(keyedDBs{keys: keys, dbs: out})
+	return out, complete, err
+}
+
+type keyedDBs struct {
+	keys []string
+	dbs  []CurrentDB
+}
+
+func (k keyedDBs) Len() int           { return len(k.keys) }
+func (k keyedDBs) Less(i, j int) bool { return k.keys[i] < k.keys[j] }
+func (k keyedDBs) Swap(i, j int) {
+	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
+	k.dbs[i], k.dbs[j] = k.dbs[j], k.dbs[i]
+}
+
+// WalkCurrentDBs streams the distinct current databases
+// { LST(Dc) : Dc ∈ Mod(S) } to yield, each once, in walk order. The walk
+// branches over feasible max selections: each consistent completion
+// induces a most-current tuple per block, and each satisfiable forcing
+// of per-block maxima extends to a completion. Only blocks whose members
+// carry at least two distinct attribute values are branched on, and a
+// current database is fixed by the values its branch blocks choose, so
+// the walk de-duplicates on those values.
+//
+// When rels is non-empty, only the named relations' blocks are branched
+// on and each database holds only those relations: the distinct current
+// databases projected onto them. That is enough for a query whose
+// answers depend only on the relations it mentions; a query that ranges
+// over the active domain also sees every other relation's values and
+// needs the unprojected databases (see query.Plan.NeedsDomain).
+//
+// yield returning false ends the walk before it visits another node.
+// complete reports whether the walk finished: false when it ended early
+// with nodes left to visit, or when the budget tripped, in which case
+// err matches ErrInterrupted. An inconsistent specification yields no
+// databases.
+func (sv *Solver) WalkCurrentDBs(b Budget, rels []string, yield func(CurrentDB) bool) (complete bool, err error) {
 	st0 := sv.stateWith(nil)
 	if st0 == nil {
-		return nil, true, nil
+		return true, nil
 	}
 	defer sv.putState(st0)
 	st0.armBudget(b)
@@ -108,28 +146,32 @@ func (sv *Solver) EnumerateCurrentDBsBudget(limit int, b Budget, rels ...string)
 	}
 	// Blocks worth branching on: in an included relation, and with at
 	// least two distinct attribute values among members (a uniform block
-	// contributes the same current value whatever its completion).
+	// contributes the same current value whatever its completion). canon
+	// maps each member to the first member carrying the same value.
 	var branch []int
+	var canon [][]int32
 	for bi, b := range sv.blocks {
 		if !include(b.Key.Rel) {
 			continue
 		}
 		r := sv.relOf[b.Key.Rel]
+		cm := make([]int32, len(b.Members))
 		uniform := true
-		first := r.Tuples[b.Members[0]][b.Key.Attr]
-		for _, ti := range b.Members[1:] {
-			if r.Tuples[ti][b.Key.Attr] != first {
-				uniform = false
-				break
+		for m, ti := range b.Members {
+			v := r.Tuples[ti][b.Key.Attr]
+			for p := 0; p <= m; p++ {
+				if r.Tuples[b.Members[p]][b.Key.Attr] == v {
+					cm[m] = int32(p)
+					break
+				}
 			}
+			uniform = uniform && cm[m] == 0
 		}
 		if !uniform {
 			branch = append(branch, bi)
+			canon = append(canon, cm)
 		}
 	}
-
-	seen := make(map[string]CurrentDB)
-	complete := true
 
 	project := func(db CurrentDB) CurrentDB {
 		if len(rels) == 0 {
@@ -144,21 +186,27 @@ func (sv *Solver) EnumerateCurrentDBsBudget(limit int, b Budget, rels ...string)
 		return out
 	}
 
+	seen := make(map[string]struct{})
+	chosen := make([]int32, len(branch))
+	var key []byte
+	complete, halted := true, false
 	var rec func(d int, st *state) bool
 	rec = func(d int, st *state) bool {
-		if limit > 0 && len(seen) >= limit {
-			complete = false
-			return false
-		}
-		if st.interrupted() {
+		if halted || st.interrupted() {
 			complete = false
 			return false
 		}
 		if d == len(branch) {
 			mark := st.mark()
 			if sv.searchAll(st) {
-				db := project(CurrentDB(sv.modelFrom(st).CurrentDB()))
-				seen[db.Key()] = db
+				key = key[:0]
+				for i, m := range chosen {
+					key = binary.AppendUvarint(key, uint64(canon[i][m]))
+				}
+				if _, dup := seen[string(key)]; !dup {
+					seen[string(key)] = struct{}{}
+					halted = !yield(project(CurrentDB(sv.modelFrom(st).CurrentDB())))
+				}
 				sv.undoTo(st, mark)
 			} else if st.stop != nil {
 				// The leaf search was interrupted, not infeasible: the
@@ -172,7 +220,7 @@ func (sv *Solver) EnumerateCurrentDBsBudget(limit int, b Budget, rels ...string)
 		off, n := sv.litOff[bi], sv.blockN[bi]
 		// Members carrying the same attribute value yield identical
 		// current values, but feasibility can differ per member, so every
-		// member is tried; deduplication happens on the final key.
+		// member is tried; de-duplication happens on the chosen values.
 		for m := int32(0); m < n; m++ {
 			// Skip members already known to be dominated: if some p has
 			// m ≺ p, m cannot be the maximum.
@@ -192,6 +240,7 @@ func (sv *Solver) EnumerateCurrentDBsBudget(limit int, b Budget, rels ...string)
 				sv.undoTo(st, mark)
 				continue
 			}
+			chosen[d] = m
 			cont := rec(d+1, st)
 			sv.undoTo(st, mark)
 			if !cont {
@@ -201,20 +250,10 @@ func (sv *Solver) EnumerateCurrentDBsBudget(limit int, b Budget, rels ...string)
 		return true
 	}
 	rec(0, st0)
-
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]CurrentDB, len(keys))
-	for i, k := range keys {
-		out[i] = seen[k]
-	}
 	if st0.stop != nil {
-		return out, false, st0.stop
+		return false, st0.stop
 	}
-	return out, complete, nil
+	return complete, nil
 }
 
 // DeterministicCurrent reports whether relation rel has the same current

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"currency/internal/dc"
+	"currency/internal/gen"
 	"currency/internal/paperdb"
 	"currency/internal/relation"
 	"currency/internal/spec"
@@ -110,6 +111,48 @@ func TestEnumerateLimit(t *testing.T) {
 	}
 	if _, hasDept := empOnly[0]["Dept"]; hasDept {
 		t.Error("projection must drop unlisted relations")
+	}
+}
+
+// TestWalkCurrentDBs checks the streaming walk against its collector:
+// the same distinct databases, projected or not, and a walk that stops
+// after the first database reports that it did not finish.
+func TestWalkCurrentDBs(t *testing.T) {
+	for seed := int64(0); seed < diffSeeds; seed++ {
+		s := gen.Random(testConfig(seed))
+		sv, err := New(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rels := range [][]string{nil, {s.Relations[0].Schema.Name}} {
+			all, _ := sv.EnumerateCurrentDBs(0, rels...)
+			want := make(map[string]bool)
+			for _, db := range all {
+				want[db.Key()] = true
+				if len(rels) > 0 && len(db) != 1 {
+					t.Fatalf("seed %d: projected database holds %d relations", seed, len(db))
+				}
+			}
+			got := 0
+			complete, err := sv.WalkCurrentDBs(Budget{}, rels, func(db CurrentDB) bool {
+				if !want[db.Key()] {
+					t.Errorf("seed %d: walk yielded a database the collector lacks", seed)
+				}
+				got++
+				return true
+			})
+			if err != nil || !complete || got != len(all) {
+				t.Fatalf("seed %d: walk yielded %d of %d (complete=%v, err=%v)", seed, got, len(all), complete, err)
+			}
+			got = 0
+			complete, err = sv.WalkCurrentDBs(Budget{}, rels, func(CurrentDB) bool {
+				got++
+				return false
+			})
+			if err != nil || got != min(1, len(all)) || (len(all) > 1 && complete) {
+				t.Fatalf("seed %d: stopped walk yielded %d of %d (complete=%v, err=%v)", seed, got, len(all), complete, err)
+			}
+		}
 	}
 }
 

@@ -124,8 +124,11 @@ func TestCurrentDBsMatchBruteForce(t *testing.T) {
 			t.Fatalf("seed %d: truncated enumeration", seed)
 		}
 		got := make(map[string]bool)
-		for _, db := range dbs {
+		for i, db := range dbs {
 			got[db.Key()] = true
+			if i > 0 && dbs[i-1].Key() >= db.Key() {
+				t.Fatalf("seed %d: databases not distinct and sorted by key", seed)
+			}
 		}
 		if len(got) != len(want) {
 			t.Errorf("seed %d: %d current DBs, brute force has %d", seed, len(got), len(want))

@@ -18,7 +18,9 @@ type Result struct {
 	Rows []relation.Tuple
 }
 
-// Contains reports membership of the tuple in the result.
+// Contains reports membership of the tuple in the result. A single
+// lookup is one pass over the rows; Equal and Intersect key each row
+// once instead of calling Contains per row.
 func (r *Result) Contains(t relation.Tuple) bool {
 	for _, row := range r.Rows {
 		if row.Equal(t) {
@@ -28,31 +30,56 @@ func (r *Result) Contains(t relation.Tuple) bool {
 	return false
 }
 
-// Sort orders rows canonically for deterministic output.
+// Sort orders rows canonically (by Tuple.Key) for deterministic output.
 func (r *Result) Sort() {
-	sort.Slice(r.Rows, func(i, j int) bool {
-		return r.Rows[i].Key() < r.Rows[j].Key()
-	})
+	keys := make([]string, len(r.Rows))
+	for i, row := range r.Rows {
+		keys[i] = row.Key()
+	}
+	sort.Sort(keyedRows{keys: keys, rows: r.Rows})
+}
+
+type keyedRows struct {
+	keys []string
+	rows []relation.Tuple
+}
+
+func (k keyedRows) Len() int           { return len(k.keys) }
+func (k keyedRows) Less(i, j int) bool { return k.keys[i] < k.keys[j] }
+func (k keyedRows) Swap(i, j int) {
+	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
+	k.rows[i], k.rows[j] = k.rows[j], k.rows[i]
+}
+
+// keySet returns the set of the rows' keys.
+func (r *Result) keySet() map[string]struct{} {
+	set := make(map[string]struct{}, len(r.Rows))
+	for _, row := range r.Rows {
+		set[row.Key()] = struct{}{}
+	}
+	return set
 }
 
 // Equal reports set equality of two results.
 func (r *Result) Equal(o *Result) bool {
-	if len(r.Rows) != len(o.Rows) {
+	a, b := r.keySet(), o.keySet()
+	if len(a) != len(b) {
 		return false
 	}
-	for _, row := range r.Rows {
-		if !o.Contains(row) {
+	for k := range a {
+		if _, ok := b[k]; !ok {
 			return false
 		}
 	}
 	return true
 }
 
-// Intersect returns the rows present in both results.
+// Intersect returns the rows present in both results, in r's order.
 func (r *Result) Intersect(o *Result) *Result {
+	in := o.keySet()
 	out := &Result{Cols: r.Cols}
 	for _, row := range r.Rows {
-		if o.Contains(row) {
+		if _, ok := in[row.Key()]; ok {
 			out.Rows = append(out.Rows, row)
 		}
 	}
@@ -70,303 +97,15 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-type evaluator struct {
-	db     DB
-	domain []relation.Value
-	env    map[string]relation.Value
-}
-
-// constantsOf collects the constants mentioned by a formula.
-func constantsOf(f Formula, out map[relation.Value]bool) {
-	switch g := f.(type) {
-	case Atom:
-		for _, t := range g.Terms {
-			if t.IsConst {
-				out[t.Const] = true
-			}
-		}
-	case Cmp:
-		if g.L.IsConst {
-			out[g.L.Const] = true
-		}
-		if g.R.IsConst {
-			out[g.R.Const] = true
-		}
-	case And:
-		for _, h := range g.Fs {
-			constantsOf(h, out)
-		}
-	case Or:
-		for _, h := range g.Fs {
-			constantsOf(h, out)
-		}
-	case Not:
-		constantsOf(g.F, out)
-	case Exists:
-		constantsOf(g.F, out)
-	case Forall:
-		constantsOf(g.F, out)
-	}
-}
-
 // Eval evaluates the query on the database under active-domain semantics:
 // quantifiers and head variables range over every value occurring in the
-// database or in the query.
+// database or in the query. It compiles q and runs the plan once;
+// callers evaluating one query on many databases Compile once and call
+// Plan.Eval per database.
 func Eval(q *Query, db DB) (*Result, error) {
-	if err := q.Validate(); err != nil {
+	p, err := Compile(q)
+	if err != nil {
 		return nil, err
 	}
-	insts := make([]*relation.Instance, 0, len(db))
-	for _, d := range db {
-		insts = append(insts, d)
-	}
-	domain := relation.ActiveDomain(insts...)
-	consts := make(map[relation.Value]bool)
-	constantsOf(q.Body, consts)
-	have := make(map[relation.Value]bool, len(domain))
-	for _, v := range domain {
-		have[v] = true
-	}
-	for v := range consts {
-		if !have[v] {
-			domain = append(domain, v)
-		}
-	}
-	sort.Slice(domain, func(i, j int) bool { return domain[i].Less(domain[j]) })
-
-	ev := &evaluator{db: db, domain: domain, env: make(map[string]relation.Value)}
-	res := &Result{Cols: append([]string(nil), q.Head...)}
-	seen := make(map[string]bool)
-	ev.enumAssign(q.Head, q.Body, func() bool {
-		row := make(relation.Tuple, len(q.Head))
-		for i, v := range q.Head {
-			row[i] = ev.env[v]
-		}
-		k := row.Key()
-		if !seen[k] {
-			seen[k] = true
-			res.Rows = append(res.Rows, row)
-		}
-		return true
-	})
-	res.Sort()
-	return res, nil
-}
-
-// term resolves a term under the current environment; ok=false when the
-// term is an unbound variable.
-func (ev *evaluator) term(t Term) (relation.Value, bool) {
-	if t.IsConst {
-		return t.Const, true
-	}
-	v, ok := ev.env[t.Var]
-	return v, ok
-}
-
-// eval evaluates a formula whose free variables are all bound.
-func (ev *evaluator) eval(f Formula) bool {
-	switch g := f.(type) {
-	case Atom:
-		inst, ok := ev.db[g.Rel]
-		if !ok {
-			return false
-		}
-	tuples:
-		for _, t := range inst.Tuples {
-			if len(t) != len(g.Terms) {
-				continue
-			}
-			for i, term := range g.Terms {
-				v, bound := ev.term(term)
-				if !bound {
-					// Unbound variables under direct eval should not occur
-					// (callers bind via enumAssign); treat as mismatch.
-					continue tuples
-				}
-				if t[i] != v {
-					continue tuples
-				}
-			}
-			return true
-		}
-		return false
-	case Cmp:
-		l, _ := ev.term(g.L)
-		r, _ := ev.term(g.R)
-		return g.Op.eval(l, r)
-	case And:
-		for _, h := range g.Fs {
-			if !ev.eval(h) {
-				return false
-			}
-		}
-		return true
-	case Or:
-		for _, h := range g.Fs {
-			if ev.eval(h) {
-				return true
-			}
-		}
-		return false
-	case Not:
-		return !ev.eval(g.F)
-	case Exists:
-		found := false
-		ev.enumAssign(g.Vars, g.F, func() bool {
-			found = true
-			return false
-		})
-		return found
-	case Forall:
-		// ∀x φ ≡ ¬∃x ¬φ under active-domain semantics.
-		violated := false
-		ev.enumAssign(g.Vars, Not{F: g.F}, func() bool {
-			violated = true
-			return false
-		})
-		return !violated
-	}
-	return false
-}
-
-// enumAssign enumerates assignments of vars (over the active domain) that
-// satisfy f, invoking yield for each; yield returning false stops the
-// enumeration. Assignments extend ev.env in place and are undone on
-// return. Atom conjuncts guide the search (join-style binding); any
-// remaining variables fall back to active-domain iteration.
-func (ev *evaluator) enumAssign(vars []string, f Formula, yield func() bool) {
-	target := make(map[string]bool, len(vars))
-	var todo []string
-	for _, v := range vars {
-		if _, bound := ev.env[v]; !bound {
-			target[v] = true
-			todo = append(todo, v)
-		}
-	}
-	if len(todo) == 0 {
-		if ev.eval(f) {
-			yield()
-		}
-		return
-	}
-
-	// Collect positive atom conjuncts usable as generators.
-	var atoms []Atom
-	var collect func(g Formula)
-	collect = func(g Formula) {
-		switch h := g.(type) {
-		case Atom:
-			atoms = append(atoms, h)
-		case And:
-			for _, sub := range h.Fs {
-				collect(sub)
-			}
-		case Exists:
-			// Inner quantifiers handled recursively by eval; their atoms
-			// cannot bind our variables.
-		}
-	}
-	collect(f)
-
-	var rec func(ai int) bool
-	rec = func(ai int) bool {
-		// Find the next atom that can bind at least one target variable.
-		for ai < len(atoms) {
-			binds := false
-			for _, t := range atoms[ai].Terms {
-				if !t.IsConst && target[t.Var] {
-					if _, ok := ev.env[t.Var]; !ok {
-						binds = true
-						break
-					}
-				}
-			}
-			if binds {
-				break
-			}
-			ai++
-		}
-		if ai == len(atoms) {
-			// Brute-force any remaining unbound target variables.
-			var rest []string
-			for _, v := range todo {
-				if _, ok := ev.env[v]; !ok {
-					rest = append(rest, v)
-				}
-			}
-			var brute func(k int) bool
-			brute = func(k int) bool {
-				if k == len(rest) {
-					if ev.eval(f) {
-						return yield()
-					}
-					return true
-				}
-				for _, val := range ev.domain {
-					ev.env[rest[k]] = val
-					if !brute(k + 1) {
-						delete(ev.env, rest[k])
-						return false
-					}
-					delete(ev.env, rest[k])
-				}
-				return true
-			}
-			return brute(0)
-		}
-
-		atom := atoms[ai]
-		inst, ok := ev.db[atom.Rel]
-		if !ok {
-			return true // empty relation: atom cannot hold, so f cannot (conservatively continue via brute force)
-		}
-	tuples:
-		for _, tu := range inst.Tuples {
-			if len(tu) != len(atom.Terms) {
-				continue
-			}
-			var newly []string
-			undo := func() {
-				for _, v := range newly {
-					delete(ev.env, v)
-				}
-			}
-			for i, term := range atom.Terms {
-				if term.IsConst {
-					if tu[i] != term.Const {
-						undo()
-						continue tuples
-					}
-					continue
-				}
-				if v, boundAlready := ev.env[term.Var]; boundAlready {
-					if tu[i] != v {
-						undo()
-						continue tuples
-					}
-					continue
-				}
-				if target[term.Var] {
-					ev.env[term.Var] = tu[i]
-					newly = append(newly, term.Var)
-				}
-				// Non-target unbound variables belong to an enclosing
-				// scope and cannot occur here (callers bind outer vars
-				// first); defensively treat as mismatch.
-				if !target[term.Var] {
-					if _, boundNow := ev.env[term.Var]; !boundNow {
-						undo()
-						continue tuples
-					}
-				}
-			}
-			if !rec(ai + 1) {
-				undo()
-				return false
-			}
-			undo()
-		}
-		return true
-	}
-	rec(0)
+	return p.Eval(db), nil
 }

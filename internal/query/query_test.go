@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -270,113 +271,176 @@ func TestRelations(t *testing.T) {
 	}
 }
 
-// bruteEval is a reference evaluator: enumerate head assignments over the
-// active domain and check the formula under pure active-domain semantics.
-func bruteEval(t *testing.T, q *Query, d DB) *Result {
-	t.Helper()
-	var insts []*relation.Instance
-	for _, inst := range d {
-		insts = append(insts, inst)
-	}
-	domain := relation.ActiveDomain(insts...)
-	consts := make(map[relation.Value]bool)
-	constantsOf(q.Body, consts)
-	for v := range consts {
-		found := false
-		for _, w := range domain {
-			if v == w {
-				found = true
-				break
-			}
-		}
-		if !found {
+// bruteEval is the reference evaluator the planner is tested against. It
+// shares no code with Eval: head assignments range over the active
+// domain (every database value plus the query's constants), and the body
+// is checked by structural recursion in which every quantifier iterates
+// the whole domain.
+func bruteEval(q *Query, d DB) *Result {
+	seen := make(map[relation.Value]bool)
+	var domain []relation.Value
+	add := func(v relation.Value) {
+		if !seen[v] {
+			seen[v] = true
 			domain = append(domain, v)
 		}
 	}
-	ev := &evaluator{db: d, domain: domain, env: map[string]relation.Value{}}
+	for _, inst := range d {
+		for _, t := range inst.Tuples {
+			for _, v := range t {
+				add(v)
+			}
+		}
+	}
+	bruteConsts(q.Body, add)
+	env := map[string]relation.Value{}
 	res := &Result{Cols: q.Head}
+	rows := map[string]bool{}
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(q.Head) {
-			if bruteFormula(ev, q.Body) {
+			if bruteHolds(q.Body, env, d, domain) {
 				row := make(relation.Tuple, len(q.Head))
 				for k, v := range q.Head {
-					row[k] = ev.env[v]
+					row[k] = env[v]
 				}
-				if !res.Contains(row) {
+				if !rows[row.Key()] {
+					rows[row.Key()] = true
 					res.Rows = append(res.Rows, row)
 				}
 			}
 			return
 		}
 		for _, v := range domain {
-			ev.env[q.Head[i]] = v
+			env[q.Head[i]] = v
 			rec(i + 1)
-			delete(ev.env, q.Head[i])
 		}
+		delete(env, q.Head[i])
 	}
 	rec(0)
 	res.Sort()
 	return res
 }
 
-// bruteFormula evaluates without the atom-guided fast path: quantifiers
-// iterate the domain exhaustively.
-func bruteFormula(ev *evaluator, f Formula) bool {
+func bruteConsts(f Formula, add func(relation.Value)) {
+	term := func(t Term) {
+		if t.IsConst {
+			add(t.Const)
+		}
+	}
 	switch g := f.(type) {
+	case Atom:
+		for _, t := range g.Terms {
+			term(t)
+		}
+	case Cmp:
+		term(g.L)
+		term(g.R)
+	case And:
+		for _, h := range g.Fs {
+			bruteConsts(h, add)
+		}
+	case Or:
+		for _, h := range g.Fs {
+			bruteConsts(h, add)
+		}
+	case Not:
+		bruteConsts(g.F, add)
 	case Exists:
-		var rec func(i int) bool
-		rec = func(i int) bool {
-			if i == len(g.Vars) {
-				return bruteFormula(ev, g.F)
-			}
-			for _, v := range ev.domain {
-				ev.env[g.Vars[i]] = v
-				if rec(i + 1) {
-					delete(ev.env, g.Vars[i])
-					return true
-				}
-				delete(ev.env, g.Vars[i])
-			}
+		bruteConsts(g.F, add)
+	case Forall:
+		bruteConsts(g.F, add)
+	}
+}
+
+// bruteHolds evaluates f under env, whose bindings cover f's free
+// variables.
+func bruteHolds(f Formula, env map[string]relation.Value, d DB, domain []relation.Value) bool {
+	val := func(t Term) relation.Value {
+		if t.IsConst {
+			return t.Const
+		}
+		return env[t.Var]
+	}
+	switch g := f.(type) {
+	case Atom:
+		inst, ok := d[g.Rel]
+		if !ok {
 			return false
 		}
-		return rec(0)
-	case Forall:
-		var rec func(i int) bool
-		rec = func(i int) bool {
-			if i == len(g.Vars) {
-				return bruteFormula(ev, g.F)
+	tuples:
+		for _, t := range inst.Tuples {
+			if len(t) != len(g.Terms) {
+				continue
 			}
-			for _, v := range ev.domain {
-				ev.env[g.Vars[i]] = v
-				if !rec(i + 1) {
-					delete(ev.env, g.Vars[i])
-					return false
+			for i, term := range g.Terms {
+				if t[i] != val(term) {
+					continue tuples
 				}
-				delete(ev.env, g.Vars[i])
 			}
 			return true
 		}
-		return rec(0)
+		return false
+	case Cmp:
+		a, b := val(g.L), val(g.R)
+		switch g.Op {
+		case CmpEq:
+			return a == b
+		case CmpNe:
+			return a != b
+		}
+		if a.Kind != b.Kind {
+			return false
+		}
+		c := a.Compare(b)
+		return (g.Op == CmpLt && c < 0) || (g.Op == CmpLe && c <= 0) ||
+			(g.Op == CmpGt && c > 0) || (g.Op == CmpGe && c >= 0)
 	case And:
 		for _, h := range g.Fs {
-			if !bruteFormula(ev, h) {
+			if !bruteHolds(h, env, d, domain) {
 				return false
 			}
 		}
 		return true
 	case Or:
 		for _, h := range g.Fs {
-			if bruteFormula(ev, h) {
+			if bruteHolds(h, env, d, domain) {
 				return true
 			}
 		}
 		return false
 	case Not:
-		return !bruteFormula(ev, g.F)
-	default:
-		return ev.eval(f)
+		return !bruteHolds(g.F, env, d, domain)
+	case Exists:
+		return bruteQuant(g.Vars, g.F, true, env, d, domain)
+	case Forall:
+		return bruteQuant(g.Vars, g.F, false, env, d, domain)
 	}
+	panic(fmt.Sprintf("bruteHolds: unknown formula %T", f))
+}
+
+// bruteQuant decides ∃vars f (exists) or ∀vars f, restoring any outer
+// binding of a shadowed name on return.
+func bruteQuant(vars []string, f Formula, exists bool, env map[string]relation.Value, d DB, domain []relation.Value) bool {
+	if len(vars) == 0 {
+		return bruteHolds(f, env, d, domain)
+	}
+	v := vars[0]
+	old, had := env[v]
+	defer func() {
+		if had {
+			env[v] = old
+		} else {
+			delete(env, v)
+		}
+	}()
+	for _, x := range domain {
+		env[v] = x
+		if bruteQuant(vars[1:], f, exists, env, d, domain) == exists {
+			return exists
+		}
+	}
+	return !exists
 }
 
 // TestEvalMatchesBruteForce differentially tests the optimized evaluator
@@ -390,7 +454,7 @@ func TestEvalMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		slow := bruteEval(t, q, d)
+		slow := bruteEval(q, d)
 		if !fast.Equal(slow) {
 			t.Errorf("trial %d: fast=%v slow=%v query=%v", trial, fast, slow, q)
 		}

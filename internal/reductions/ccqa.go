@@ -2,6 +2,7 @@ package reductions
 
 import (
 	"fmt"
+	"sort"
 
 	"currency/internal/query"
 	"currency/internal/relation"
@@ -203,13 +204,19 @@ func CCQAFrom3SATData(psi QBF) (*CCQAGadget, error) {
 	s := spec.New()
 	scX := relation.MustSchema("RXd", "eidx", "Ax")
 	ix := relation.NewTemporal(scX)
-	vars := make(map[int]bool)
+	// Variables in ascending order, so the gadget is a pure function of ψ.
+	seen := make(map[int]bool)
+	var vars []int
 	for _, cl := range psi.Clauses {
 		for _, l := range cl {
-			vars[l.Var] = true
+			if !seen[l.Var] {
+				seen[l.Var] = true
+				vars = append(vars, l.Var)
+			}
 		}
 	}
-	for v := range vars {
+	sort.Ints(vars)
+	for _, v := range vars {
 		ix.MustAdd(relation.Tuple{relation.S(fmt.Sprintf("x%d", v)), relation.I(0)})
 		ix.MustAdd(relation.Tuple{relation.S(fmt.Sprintf("x%d", v)), relation.I(1)})
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"currency/internal/core"
+	"currency/internal/parse"
 	"currency/internal/spec"
 )
 
@@ -180,6 +181,55 @@ func TestCCQADataReductionMatchesSAT(t *testing.T) {
 		want := !psi.Satisfiable()
 		if got != want {
 			t.Errorf("trial %d: CCQA-data(gadget)=%v, ¬SAT=%v\n  formula: %s", trial, got, want, psi)
+		}
+	}
+	// Larger gadgets with clause ratios from 2 to 8, so that both
+	// verdicts occur: the certain-answer walk stops at the first current
+	// database with an empty answer, and must not stop on a certain one.
+	seen := map[bool]int{}
+	for trial := 0; trial < 30; trial++ {
+		vars := 3 + trial%3
+		psi := Random3SAT(rng, vars, 2*vars+rng.Intn(6*vars))
+		g, err := CCQAFrom3SATData(psi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := core.NewReasoner(g.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.IsCertainAnswer(g.Query, g.Tuple)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := !psi.Satisfiable(); got != want {
+			t.Errorf("large trial %d: CCQA-data(gadget)=%v, ¬SAT=%v\n  formula: %s", trial, got, want, psi)
+		}
+		seen[got]++
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Errorf("large gadgets did not cover both verdicts: %v", seen)
+	}
+}
+
+// TestCCQADataGadgetDeterministic pins that the data gadget is a pure
+// function of ψ: two builds of one formula marshal to the same text.
+func TestCCQADataGadgetDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 10; trial++ {
+		psi := Random3SAT(rng, 6, 8)
+		first := ""
+		for build := 0; build < 5; build++ {
+			g, err := CCQAFrom3SATData(psi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text := parse.Marshal(g.Spec, g.Query)
+			if build == 0 {
+				first = text
+			} else if text != first {
+				t.Fatalf("trial %d: build %d differs:\n%s\nvs\n%s", trial, build, text, first)
+			}
 		}
 	}
 }
