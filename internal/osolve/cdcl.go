@@ -18,7 +18,12 @@ package osolve
 //     component's literals, and the search backjumps non-chronologically
 //     to the clause's assertion level;
 //   - decisions use an EVSIDS-style activity heuristic with phase
-//     saving, under Luby-sequence restarts;
+//     saving, under Luby-sequence restarts. The unassigned constrained
+//     pairs sit in a binary order heap, as in MiniSat (Eén & Sörensson
+//     2003), keyed by activity descending and then position in
+//     component.constrained ascending: its top is exactly the pair a
+//     linear scan picks (the first maximum in constrained order), so the
+//     heap changes what a decision costs, never which pair it sets;
 //   - clauses learned by the BASE search (empty trail, so every clause
 //     is a consequence of the component's rules and base orders alone)
 //     are published to a per-component persistent store, bounded by a
@@ -108,6 +113,14 @@ type cdclRun struct {
 	varInc float64
 	phase  []byte // by span-relative canonical pair: saved polarity
 
+	// Order heap over indices into c.constrained (see the file comment).
+	// Entries may be assigned: pickBranch drops them when they reach the
+	// top, and jumpTo re-inserts a pair when it becomes unassigned, so
+	// every unassigned constrained pair is always in the heap.
+	heap    []int32
+	heapPos []int32 // by constrained index: position in heap, -1 if out
+	cidx    []int32 // by span-relative canonical pair: constrained index, or -1
+
 	// Clause store: the persistent snapshot (first pcount clauses) plus
 	// clauses learned this run, in CSR form over ABSOLUTE literal IDs.
 	// watch indexes clauses by the span-relative literal whose
@@ -144,6 +157,18 @@ func newCDCLRun(sv *Solver, st *state, c *component) *cdclRun {
 		watch:  make([][]int32, span),
 		varInc: 1,
 		marks:  []int{st.mark()},
+
+		heap:    make([]int32, len(c.constrained)),
+		heapPos: make([]int32, len(c.constrained)),
+		cidx:    make([]int32, span),
+	}
+	for i := range r.cidx {
+		r.cidx[i] = -1
+	}
+	// Every activity starts at zero, so index order is already a heap.
+	for k, id := range c.constrained {
+		r.heap[k], r.heapPos[k] = int32(k), int32(k)
+		r.cidx[id-c.lo] = int32(k)
 	}
 	if db := c.learned.Load(); db != nil {
 		r.lits = make([]int32, len(db.lits))
@@ -306,32 +331,16 @@ func (r *cdclRun) propagateCDCL() bool {
 		r.lvl[rel] = curLvl
 		st.propagations++
 
-		// Transitive closure (mirrors propagate): predecessors of I ×
-		// successors of J inside the block.
-		bi := sv.litBlk[id]
-		off := sv.litOff[bi]
-		bn := sv.blockN[bi]
-		rem := id - off
-		i, j := rem/bn, rem%bn
-		row := st.a[off : off+bn*bn]
-		for p := int32(0); p < bn; p++ {
-			if p != i && row[p*bn+i] != less {
-				continue
-			}
-			for s := int32(0); s < bn; s++ {
-				if s != j && row[j*bn+s] != less {
-					continue
-				}
-				if p == s {
-					// Cycle through the new edge. Encode the endpoint in
-					// the (never-assigned) diagonal ID so analyze can
-					// decode the closure step's antecedents.
-					return fail(transTag(id), off+p*bn+p)
-				}
-				if row[p*bn+s] != less {
-					r.push(off+p*bn+s, transTag(id))
-				}
-			}
+		// Transitive closure (the kernel propagate uses). A cycle's
+		// endpoint comes back as the (never-assigned) diagonal ID, so
+		// analyze can decode the closure step's antecedents.
+		pushed := len(r.stack)
+		var cycle int32
+		if r.stack, cycle = sv.closeEdge(st, id, r.stack); cycle >= 0 {
+			return fail(transTag(id), cycle)
+		}
+		for range r.stack[pushed:] {
+			r.rstack = append(r.rstack, transTag(id))
 		}
 
 		// Rule firing via the watch index.
@@ -496,7 +505,8 @@ func (r *cdclRun) analyze() (bjLevel int, assertLit int32, clauseIdx int32) {
 }
 
 // jumpTo undoes the trail down to decision level b, saving the polarity
-// of every undone canonical pair for phase saving.
+// of every undone canonical pair for phase saving and returning undone
+// constrained pairs to the order heap.
 func (r *cdclRun) jumpTo(b int) {
 	if b >= r.level() {
 		return
@@ -510,33 +520,32 @@ func (r *cdclRun) jumpTo(b int) {
 			canon, pol = inv, greater
 		}
 		r.phase[canon-r.lo] = pol
+		if ck := r.cidx[canon-r.lo]; ck >= 0 && r.heapPos[ck] < 0 {
+			r.heapInsert(ck)
+		}
 	}
 	sv.undoTo(st, target)
 	r.marks = r.marks[:b+1]
 }
 
 // pickBranch selects the unassigned constrained pair with the highest
-// activity and returns it oriented by its saved phase, or -1 when every
-// constrained pair is oriented.
+// activity (the first in constrained order among equals) and returns it
+// oriented by its saved phase, or -1 when every constrained pair is
+// oriented. Assigned pairs that reach the heap's top are dropped on the
+// way; the chosen pair stays until it is found assigned.
 func (r *cdclRun) pickBranch() int32 {
-	st := r.st
-	best, bestAct := int32(-1), -1.0
-	for _, id := range r.c.constrained {
-		if st.a[id] != unknown {
+	for len(r.heap) > 0 {
+		id := r.c.constrained[r.heap[0]]
+		if r.st.a[id] != unknown {
+			r.heapPop()
 			continue
 		}
-		if a := r.act[id-r.lo]; a > bestAct {
-			bestAct = a
-			best = id
+		if r.phase[id-r.lo] == greater {
+			return r.sv.litInv[id]
 		}
+		return id
 	}
-	if best < 0 {
-		return -1
-	}
-	if r.phase[best-r.lo] == greater {
-		return r.sv.litInv[best]
-	}
-	return best
+	return -1
 }
 
 // bump raises the activity of the canonical pair behind literal v.
@@ -551,6 +560,77 @@ func (r *cdclRun) bump(v int32) {
 			r.act[i] *= 1 / varActRescale
 		}
 		r.varInc *= 1 / varActRescale
+		// Scaling can round distinct activities to equal ones, which the
+		// index tie-break then orders differently: rebuild the heap.
+		r.heapify()
+		return
+	}
+	if k := r.cidx[rel]; k >= 0 && r.heapPos[k] >= 0 {
+		r.heapUp(r.heapPos[k])
+	}
+}
+
+// before is the order heap's ordering on constrained indices: higher
+// activity first, then lower index.
+func (r *cdclRun) before(x, y int32) bool {
+	ax, ay := r.act[r.c.constrained[x]-r.lo], r.act[r.c.constrained[y]-r.lo]
+	return ax > ay || (ax == ay && x < y)
+}
+
+func (r *cdclRun) heapUp(pos int32) {
+	h, k := r.heap, r.heap[pos]
+	for pos > 0 {
+		parent := (pos - 1) / 2
+		if !r.before(k, h[parent]) {
+			break
+		}
+		h[pos] = h[parent]
+		r.heapPos[h[pos]] = pos
+		pos = parent
+	}
+	h[pos], r.heapPos[k] = k, pos
+}
+
+func (r *cdclRun) heapDown(pos int32) {
+	h, k := r.heap, r.heap[pos]
+	n := int32(len(h))
+	for {
+		c := 2*pos + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && r.before(h[c+1], h[c]) {
+			c++
+		}
+		if !r.before(h[c], k) {
+			break
+		}
+		h[pos] = h[c]
+		r.heapPos[h[pos]] = pos
+		pos = c
+	}
+	h[pos], r.heapPos[k] = k, pos
+}
+
+func (r *cdclRun) heapInsert(k int32) {
+	r.heap = append(r.heap, k)
+	r.heapUp(int32(len(r.heap) - 1))
+}
+
+// heapPop removes the heap's top.
+func (r *cdclRun) heapPop() {
+	last := len(r.heap) - 1
+	r.heapPos[r.heap[0]] = -1
+	r.heap[0] = r.heap[last]
+	r.heap = r.heap[:last]
+	if last > 0 {
+		r.heapDown(0)
+	}
+}
+
+func (r *cdclRun) heapify() {
+	for pos := int32(len(r.heap)/2 - 1); pos >= 0; pos-- {
+		r.heapDown(pos)
 	}
 }
 

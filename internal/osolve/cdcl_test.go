@@ -31,7 +31,7 @@ func randomBetweenness(rng *rand.Rand, n, tr int) reductions.BetweennessInstance
 }
 
 // gadgetSolver grounds the hardness gadget for inst.
-func gadgetSolver(t *testing.T, inst reductions.BetweennessInstance) *Solver {
+func gadgetSolver(t testing.TB, inst reductions.BetweennessInstance) *Solver {
 	t.Helper()
 	s, err := reductions.CPSFromBetweenness(inst)
 	if err != nil {
@@ -173,5 +173,112 @@ func assertGadgetVerdictsFresh(t *testing.T, patched *Solver) {
 	_, bok := fresh.SolveWith(nil)
 	if aok != bok {
 		t.Fatalf("SolveWith ok: patched=%v, fresh=%v", aok, bok)
+	}
+}
+
+// refPickBranch is the linear-scan decision the order heap replaced: the
+// first unassigned pair of maximal activity in constrained order,
+// oriented by its saved phase.
+func refPickBranch(r *cdclRun) int32 {
+	best, bestAct := int32(-1), -1.0
+	for _, id := range r.c.constrained {
+		if r.st.a[id] != unknown {
+			continue
+		}
+		if a := r.act[id-r.lo]; a > bestAct {
+			bestAct = a
+			best = id
+		}
+	}
+	if best < 0 {
+		return -1
+	}
+	if r.phase[best-r.lo] == greater {
+		return r.sv.litInv[best]
+	}
+	return best
+}
+
+// checkOrderHeap verifies the heap's structure: heap order under before,
+// positions that match, and every unassigned constrained pair present.
+func checkOrderHeap(t *testing.T, step int, r *cdclRun) {
+	t.Helper()
+	for pos, k := range r.heap {
+		if r.heapPos[k] != int32(pos) {
+			t.Fatalf("step %d: heapPos[%d] = %d, entry sits at %d", step, k, r.heapPos[k], pos)
+		}
+		if parent := (pos - 1) / 2; pos > 0 && r.before(k, r.heap[parent]) {
+			t.Fatalf("step %d: entry %d at %d orders before its parent %d", step, k, pos, r.heap[parent])
+		}
+	}
+	for k, id := range r.c.constrained {
+		if r.st.a[id] == unknown && r.heapPos[k] < 0 {
+			t.Fatalf("step %d: unassigned constrained pair %d (index %d) is not in the heap", step, id, k)
+		}
+	}
+}
+
+// TestOrderHeapMatchesLinearScan drives one escalated run's heuristic
+// state through random bumps, decays, decisions with propagation,
+// backjumps and one forced activity rescale, and checks after every step
+// that pickBranch returns what the linear scan over c.constrained
+// returns.
+func TestOrderHeapMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var sv *Solver
+	for sv == nil {
+		if inst := randomBetweenness(rng, 7, 6); inst.Solvable() {
+			sv = gadgetSolver(t, inst)
+		}
+	}
+	ci := 0
+	for k, c := range sv.comps {
+		if len(c.constrained) > len(sv.comps[ci].constrained) {
+			ci = k
+		}
+	}
+	c := sv.comps[ci]
+	st := sv.scopedClone([]int{ci})
+	defer sv.putState(st)
+	r := newCDCLRun(sv, st, c)
+	span := c.hi - c.lo
+	rescaled, decisions, jumps := false, 0, 0
+	for step := 0; step < 4000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4:
+			r.bump(c.lo + rng.Int31n(span))
+		case op < 5:
+			r.decay()
+		case op < 8:
+			id := r.pickBranch()
+			if id < 0 {
+				break
+			}
+			decisions++
+			r.marks = append(r.marks, st.mark())
+			r.push(id, tagNone)
+			if !r.propagateCDCL() {
+				r.jumpTo(rng.Intn(r.level()))
+				jumps++
+			}
+		default:
+			if r.level() > 0 {
+				r.jumpTo(rng.Intn(r.level()))
+				jumps++
+			}
+		}
+		if step == 2000 {
+			// Push the next bump past the rescale threshold.
+			r.varInc = 2 * varActRescale
+			r.bump(c.constrained[rng.Intn(len(c.constrained))])
+			rescaled = r.varInc < varActRescale
+		}
+		checkOrderHeap(t, step, r)
+		if got, want := r.pickBranch(), refPickBranch(r); got != want {
+			t.Fatalf("step %d: pickBranch = %d, linear scan = %d", step, got, want)
+		}
+	}
+	if !rescaled || decisions == 0 || jumps == 0 {
+		t.Fatalf("rescaled=%v decisions=%d jumps=%d: want every operation exercised", rescaled, decisions, jumps)
 	}
 }

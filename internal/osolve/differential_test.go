@@ -183,7 +183,7 @@ var engineScenarios = []struct {
 	}},
 }
 
-func newOrDie(t *testing.T, s *spec.Spec) *Solver {
+func newOrDie(t testing.TB, s *spec.Spec) *Solver {
 	t.Helper()
 	sv, err := New(s)
 	if err != nil {

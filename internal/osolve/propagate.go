@@ -10,8 +10,20 @@ package osolve
 // lookup, inverse literal, watched rules, rule bodies — is an index into
 // a flat array keyed by the dense literal ID; no maps, no per-block or
 // per-rule slice headers.
+//
+// Transitive closure is one kernel, closeEdge, shared by propagate and
+// the CDCL propagator (cdcl.go). It relies on the inverse-pair
+// invariant: a pair and its inverse are always set and cleared together
+// (propagate sets both, undoTo clears both, and every arena copy —
+// scopedClone, stateWith, initBaseFrom, the memo spans — copies whole
+// block spans), so a block's row i holds i's predecessors as well as its
+// successors, and the kernel reads both lists from rows, sequentially.
 
-import "sync"
+import (
+	"encoding/binary"
+	"math/bits"
+	"sync"
+)
 
 const (
 	unknown byte = 0
@@ -33,6 +45,12 @@ type state struct {
 	a     []byte
 	trail []int32
 	q     []int32
+
+	// pred and succ are closeEdge's scratch (a predecessor list and a
+	// successor bit mask per row word), kept on the pooled state so that
+	// closure on large blocks allocates nothing once warm.
+	pred []int32
+	succ []uint64
 
 	// Search-effort counters, accumulated as plain fields so the warm
 	// path pays no atomics, and flushed into the solver's EngineStats
@@ -219,29 +237,9 @@ func (sv *Solver) propagate(st *state) bool {
 		st.trail = append(st.trail, id)
 		st.propagations++
 
-		// Transitive closure: predecessors of I × successors of J, walked
-		// directly in the block's arena span.
-		bi := sv.litBlk[id]
-		off := sv.litOff[bi]
-		n := sv.blockN[bi]
-		rem := id - off
-		i, j := rem/n, rem%n
-		row := st.a[off : off+n*n]
-		for p := int32(0); p < n; p++ {
-			if p != i && row[p*n+i] != less {
-				continue
-			}
-			for s := int32(0); s < n; s++ {
-				if s != j && row[j*n+s] != less {
-					continue
-				}
-				if p == s {
-					return conflict() // cycle through the new edge
-				}
-				if row[p*n+s] != less {
-					stack = append(stack, off+p*n+s)
-				}
-			}
+		var cycle int32
+		if stack, cycle = sv.closeEdge(st, id, stack); cycle >= 0 {
+			return conflict() // cycle through the new edge
 		}
 
 		// Rule firing: only the rules watching the literal that just
@@ -268,6 +266,123 @@ func (sv *Solver) propagate(st *state) bool {
 	}
 	st.q = stack[:0]
 	return true
+}
+
+// closeListMin is the block size from which closeEdge collects the
+// predecessor and successor lists with word-at-a-time row scans. Below
+// it the direct triple loop is faster: its rows are at most two words,
+// and the scans' setup costs more than they save on the warm path's
+// three-tuple blocks.
+const closeListMin = 16
+
+// Row-scan masks: unknown=0, less=1 and greater=2 leave less in bit 0 and
+// greater in bit 1 of each byte, so one AND selects them across a word.
+const (
+	lessBits    uint64 = 0x0101010101010101
+	greaterBits uint64 = 0x0202020202020202
+)
+
+// closeEdge is the transitive-closure kernel. Literal id (i ≺ j in its
+// block) has just been set. The new edge implies p ≺ s for every p in
+// {i} ∪ pred(i) and every s in {j} ∪ succ(j); closeEdge appends to out
+// each such pair not yet less, in (p ascending, s ascending) order, and
+// returns out with cycle = -1. If some p equals some s the edge closes a
+// cycle: it returns the diagonal ID of the first such p in that order as
+// cycle, with nothing appended. Callers push the pairs in the returned
+// order, so propagation and conflicts repeat the same whatever the block
+// size.
+//
+// pred(i) is read from row i (a[i][p] == greater), not by striding down
+// column i, which is sound only under the inverse-pair invariant (see
+// the layer comment). Blocks of closeListMin tuples or more read rows i
+// and j once, eight bytes at a time, into a list P and a mask S; each
+// p of P then takes S minus row p's less bytes a word at a time.
+// Smaller blocks keep the direct loop.
+func (sv *Solver) closeEdge(st *state, id int32, out []int32) ([]int32, int32) {
+	bi := sv.litBlk[id]
+	off := sv.litOff[bi]
+	n := sv.blockN[bi]
+	rem := id - off
+	i, j := rem/n, rem%n
+	a := st.a[off : off+n*n]
+	if n < closeListMin {
+		mark := len(out)
+		for p := int32(0); p < n; p++ {
+			if p != i && a[p*n+i] != less {
+				continue
+			}
+			for s := int32(0); s < n; s++ {
+				if s != j && a[j*n+s] != less {
+					continue
+				}
+				if p == s {
+					return out[:mark], off + p*n + p
+				}
+				if a[p*n+s] != less {
+					out = append(out, off+p*n+s)
+				}
+			}
+		}
+		return out, -1
+	}
+	nw := (n + 7) / 8
+	if int32(cap(st.succ)) < nw {
+		st.succ = make([]uint64, nw)
+	}
+	S := st.succ[:nw]
+	rowJ := a[j*n : (j+1)*n]
+	for k := range S {
+		S[k] = rowWord(rowJ, int32(8*k)) & lessBits
+	}
+	S[j>>3] |= 1 << (8 * (j & 7))
+	P := scanRow(st.pred[:0], a[i*n:(i+1)*n], greaterBits, i)
+	st.pred = P
+	for _, p := range P {
+		if S[p>>3]>>(8*(p&7))&1 != 0 {
+			return out, off + p*n + p
+		}
+	}
+	for _, p := range P {
+		row := a[p*n : (p+1)*n]
+		base := off + p*n
+		for k, sw := range S {
+			m := sw &^ rowWord(row, int32(8*k))
+			for m != 0 {
+				out = append(out, base+int32(8*k)+int32(bits.TrailingZeros64(m)>>3))
+				m &= m - 1
+			}
+		}
+	}
+	return out, -1
+}
+
+// rowWord returns bytes [c, c+8) of row as a little-endian word, with the
+// bytes past the row's end read as zero. The list path's rows are at
+// least closeListMin ≥ 8 bytes long, so the last, partial word is the
+// row's final eight bytes shifted down.
+func rowWord(row []byte, c int32) uint64 {
+	n := int32(len(row))
+	if c+8 <= n {
+		return binary.LittleEndian.Uint64(row[c:])
+	}
+	return binary.LittleEndian.Uint64(row[n-8:]) >> (8 * uint(c+8-n))
+}
+
+// scanRow appends to out, ascending, every column of row whose byte has
+// one of mask's bits set, and column self, which is the diagonal and so
+// never set itself.
+func scanRow(out []int32, row []byte, mask uint64, self int32) []int32 {
+	for c := int32(0); c < int32(len(row)); c += 8 {
+		m := rowWord(row, c) & mask
+		if d := uint32(self - c); d < 8 {
+			m |= (mask & 0xff) << (8 * d)
+		}
+		for m != 0 {
+			out = append(out, c+int32(bits.TrailingZeros64(m)>>3))
+			m &= m - 1
+		}
+	}
+	return out
 }
 
 // stateWith returns a pooled full clone of the base state extended with

@@ -186,6 +186,45 @@ func TestCurrencyPreservingSPMatchesExact(t *testing.T) {
 	}
 }
 
+// TestBoundedCopyingSPMatchesExact differentially tests the polynomial
+// BCP(SP) against the exact bounded search over the full extension space,
+// with one extension atom allowed, on TestCurrencyPreservingSPMatchesExact's
+// specifications. Copy functions that are already currency preserving
+// make BCP hold with the empty extension, so the cases where the
+// tractable CPP check says true must come out true here too. Both
+// verdicts must occur, or the test would not tell the two apart.
+func TestBoundedCopyingSPMatchesExact(t *testing.T) {
+	verdicts := map[bool]int{}
+	for seed := int64(0); seed < 200; seed++ {
+		cfg := noDCConfig(seed)
+		cfg.Relations, cfg.Copies = 2, 1
+		cfg.Entities, cfg.TuplesPerEntity, cfg.Attrs = 2, 2, 2
+		s := gen.Random(cfg)
+		rng := randFor(seed)
+		q := gen.RandomSPQuery(rng, s.Relations[0].Schema, "Q", cfg.Domain)
+
+		fast, _, err := BoundedCopyingSP(s, q, 1)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		r, err := core.NewReasoner(s)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		exact, _, err := r.BoundedCopying(q, 1)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if fast != exact {
+			t.Errorf("seed %d: BCP(SP, k=1): tractable=%v exact=%v\n  query: %v", seed, fast, exact, q)
+		}
+		verdicts[exact]++
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Errorf("verdicts %v: want both true and false among the specifications", verdicts)
+	}
+}
+
 // TestPossVacuousOnSingletons checks that poss of entities with a single
 // tuple is the tuple itself.
 func TestPossVacuousOnSingletons(t *testing.T) {
