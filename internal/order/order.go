@@ -143,63 +143,55 @@ func (ps *PairSet) Equal(other *PairSet) bool {
 	return ps.Len() == other.Len() && ps.ContainedIn(other)
 }
 
-// Nodes returns all nodes mentioned by some pair, sorted ascending.
-func (ps *PairSet) Nodes() []int {
-	seen := make(map[int]bool)
-	var out []int
-	ps.Range(func(a, b int) bool {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
+// nodeBound returns one more than the largest node any pair mentions: the
+// length of a node-indexed slice that covers every source and every
+// target, including a node that appears only as a target.
+func (ps *PairSet) nodeBound() int {
+	n := len(ps.succ)
+	for _, ss := range ps.succ {
+		for _, b := range ss {
+			if b >= n {
+				n = b + 1
+			}
 		}
-		if !seen[b] {
-			seen[b] = true
-			out = append(out, b)
-		}
-		return true
-	})
-	sort.Ints(out)
-	return out
-}
-
-// Restrict returns the subset of pairs whose both endpoints lie in nodes.
-func (ps *PairSet) Restrict(nodes []int) *PairSet {
-	in := make(map[int]bool, len(nodes))
-	for _, n := range nodes {
-		in[n] = true
 	}
-	out := NewPairSet()
-	ps.Range(func(a, b int) bool {
-		if in[a] && in[b] {
-			out.Add(a, b)
-		}
-		return true
-	})
-	return out
+	return n
 }
 
 // TransitiveClosure returns the transitive closure of the relation. The
 // closure of a relation with a directed cycle contains reflexive pairs;
-// callers detect inconsistency via HasCycle on the result.
+// callers detect inconsistency via HasCycle on the result. Each source's
+// successor list is its direct successors in insertion order followed by
+// the nodes it reaches only transitively, in depth-first discovery order.
 func (ps *PairSet) TransitiveClosure() *PairSet {
-	out := ps.Clone()
-	// Repeated BFS from each source node; pair sets in this library are
-	// small (per-entity groups), so simplicity wins over Warshall indexing.
-	for _, src := range ps.Nodes() {
-		reach := make(map[int]bool)
-		stack := append([]int(nil), out.succOf(src)...)
+	out := &PairSet{succ: make([][]int, len(ps.succ))}
+	// seen[n] == src+1 marks n as already listed for src, so the marks
+	// never need clearing between sources.
+	seen := make([]int, ps.nodeBound())
+	var reach, stack []int
+	for src, direct := range ps.succ {
+		if len(direct) == 0 {
+			continue
+		}
+		mark := src + 1
+		reach = append(reach[:0], direct...)
+		for _, n := range direct {
+			seen[n] = mark
+		}
+		stack = append(stack[:0], direct...)
 		for len(stack) > 0 {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if reach[n] {
-				continue
+			for _, m := range ps.succOf(n) {
+				if seen[m] != mark {
+					seen[m] = mark
+					reach = append(reach, m)
+					stack = append(stack, m)
+				}
 			}
-			reach[n] = true
-			stack = append(stack, out.succOf(n)...)
 		}
-		for n := range reach {
-			out.Add(src, n)
-		}
+		out.succ[src] = append([]int(nil), reach...)
+		out.n += len(reach)
 	}
 	return out
 }
@@ -208,34 +200,14 @@ func (ps *PairSet) TransitiveClosure() *PairSet {
 // reflexive pair, i.e., whether the underlying directed graph has a cycle
 // (including self-loops).
 func (ps *PairSet) HasCycle() bool {
-	// Colour-based DFS cycle detection.
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	colour := make(map[int]int)
-	var visit func(n int) bool
-	visit = func(n int) bool {
-		colour[n] = grey
-		for _, m := range ps.succOf(n) {
-			switch colour[m] {
-			case grey:
-				return true
-			case white:
-				if visit(m) {
-					return true
-				}
-			}
-		}
-		colour[n] = black
-		return false
-	}
-	for _, n := range ps.Nodes() {
-		if colour[n] == white {
-			if visit(n) {
-				return true
-			}
+	// A fresh Checker at base 0 reads every zero mark as "white, in the
+	// group", so all sources form one group. The marks cover the sources
+	// only: a node that is never a source has no successors, lies on no
+	// cycle, and the bounds test in Checker.in leaves it outside.
+	c := Checker{mark: make([]int, len(ps.succ))}
+	for a := range ps.succ {
+		if c.mark[a] == c.base && c.cyclicFrom(ps, a) {
+			return true
 		}
 	}
 	return false
@@ -243,24 +215,114 @@ func (ps *PairSet) HasCycle() bool {
 
 // IsStrictPartialOrderOn verifies that the relation, restricted to nodes,
 // is irreflexive and acyclic (and hence extends to a strict partial order
-// by transitive closure). It returns a descriptive error otherwise.
+// by transitive closure). It returns a descriptive error otherwise:
+// pairs leaving nodes are ignored, and a reflexive pair (the smallest
+// such node) is reported before a cycle. To check many groups of one
+// relation, use a Checker.
 func (ps *PairSet) IsStrictPartialOrderOn(nodes []int) error {
-	sub := ps.Restrict(nodes)
-	var refl *Pair
-	sub.Range(func(a, b int) bool {
-		if a == b {
-			refl = &Pair{a, b}
-			return false
-		}
-		return true
-	})
-	if refl != nil {
-		return fmt.Errorf("order: reflexive pair %d ≺ %d", refl.A, refl.B)
+	var c Checker
+	return c.Check(ps, nodes)
+}
+
+// A Checker runs IsStrictPartialOrderOn over many node groups with one
+// slice of node-indexed marks. Marks are stamped per group, so nothing is
+// cleared between groups, and checking disjoint groups costs time linear
+// in their total size plus the pairs leaving their members, however the
+// nodes split into groups. The marks grow to the largest node seen. The
+// zero value is ready to use; a Checker is not safe for concurrent use.
+type Checker struct {
+	// mark[n] is base, base+1 or base+2 (white, grey, black) while n is
+	// in the group being checked, and below base otherwise.
+	mark  []int
+	base  int
+	stack []frame
+}
+
+// frame is one depth-first search level: a node and the index of its
+// next successor to visit.
+type frame struct{ node, next int }
+
+// Check reports whether ps restricted to nodes is irreflexive and
+// acyclic, with IsStrictPartialOrderOn's result and error text. A nil
+// ps is the empty relation.
+func (c *Checker) Check(ps *PairSet, nodes []int) error {
+	if ps == nil || ps.n == 0 {
+		return nil
 	}
-	if sub.HasCycle() {
-		return fmt.Errorf("order: relation contains a cycle")
+	c.enter(nodes)
+	refl := -1
+	for _, a := range nodes {
+		if (refl < 0 || a < refl) && ps.Has(a, a) {
+			refl = a
+		}
+	}
+	if refl >= 0 {
+		return fmt.Errorf("order: reflexive pair %d ≺ %d", refl, refl)
+	}
+	for _, a := range nodes {
+		if c.in(a) && c.mark[a] == c.base && c.cyclicFrom(ps, a) {
+			return fmt.Errorf("order: relation contains a cycle")
+		}
 	}
 	return nil
+}
+
+// enter starts a new group: it grows the marks to cover nodes, moves base
+// past every earlier stamp and marks each member white.
+func (c *Checker) enter(nodes []int) {
+	hi := -1
+	for _, a := range nodes {
+		hi = max(hi, a)
+	}
+	if hi >= len(c.mark) {
+		grown := make([]int, max(hi+1, 2*len(c.mark)))
+		copy(grown, c.mark)
+		c.mark = grown
+	}
+	c.base += 3
+	for _, a := range nodes {
+		if a >= 0 {
+			c.mark[a] = c.base
+		}
+	}
+}
+
+// in reports whether n belongs to the group being checked.
+func (c *Checker) in(n int) bool {
+	return uint(n) < uint(len(c.mark)) && c.mark[n] >= c.base
+}
+
+// cyclicFrom runs an iterative colour DFS from the white node root over
+// the successors inside the group, reporting whether it meets a grey
+// node (a back edge, self-loops included).
+func (c *Checker) cyclicFrom(ps *PairSet, root int) bool {
+	white, grey, black := c.base, c.base+1, c.base+2
+	c.mark[root] = grey
+	stack := append(c.stack[:0], frame{node: root})
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		succ := ps.succOf(top.node)
+		if top.next == len(succ) {
+			c.mark[top.node] = black
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		m := succ[top.next]
+		top.next++
+		if !c.in(m) {
+			continue
+		}
+		switch c.mark[m] {
+		case grey:
+			c.stack = stack
+			return true
+		case white:
+			c.mark[m] = grey
+			stack = append(stack, frame{node: m})
+		}
+	}
+	c.stack = stack
+	return false
 }
 
 // LinearExtensions enumerates every linear extension of the relation

@@ -1,6 +1,7 @@
 package order
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -21,10 +22,6 @@ func TestPairSetBasics(t *testing.T) {
 	if len(pairs) != 2 || pairs[0] != (Pair{1, 2}) || pairs[1] != (Pair{2, 3}) {
 		t.Errorf("Pairs = %v", pairs)
 	}
-	nodes := ps.Nodes()
-	if len(nodes) != 3 || nodes[0] != 1 || nodes[2] != 3 {
-		t.Errorf("Nodes = %v", nodes)
-	}
 	clone := ps.Clone()
 	clone.Add(5, 6)
 	if ps.Has(5, 6) {
@@ -38,10 +35,6 @@ func TestPairSetBasics(t *testing.T) {
 	other.Add(2, 3)
 	if !ps.Equal(other) {
 		t.Error("Equal misreports")
-	}
-	sub := ps.Restrict([]int{1, 2})
-	if sub.Len() != 1 || !sub.Has(1, 2) {
-		t.Errorf("Restrict = %v", sub.Pairs())
 	}
 }
 
@@ -218,5 +211,126 @@ func TestExtensionsRespectAllPairs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refClosure and refCyclic are map-based reference kernels: reach sets
+// by plain DFS, and a colour DFS over every mentioned node.
+func refClosure(ps *PairSet) map[Pair]bool {
+	out := make(map[Pair]bool)
+	ps.Range(func(a, _ int) bool {
+		seen := make(map[int]bool)
+		stack := append([]int(nil), ps.Succ(a)...)
+		for len(stack) > 0 {
+			n := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if seen[n] {
+				continue
+			}
+			seen[n] = true
+			out[Pair{a, n}] = true
+			stack = append(stack, ps.Succ(n)...)
+		}
+		return true
+	})
+	return out
+}
+
+func refCyclic(ps *PairSet, in func(int) bool) bool {
+	colour := make(map[int]int)
+	var visit func(n int) bool
+	visit = func(n int) bool {
+		colour[n] = 1
+		for _, m := range ps.Succ(n) {
+			if !in(m) {
+				continue
+			}
+			if colour[m] == 1 || (colour[m] == 0 && visit(m)) {
+				return true
+			}
+		}
+		colour[n] = 2
+		return false
+	}
+	cyclic := false
+	ps.Range(func(a, b int) bool {
+		for _, n := range []int{a, b} {
+			if in(n) && colour[n] == 0 && visit(n) {
+				cyclic = true
+			}
+		}
+		return !cyclic
+	})
+	return cyclic
+}
+
+// TestKernelsMatchReference checks TransitiveClosure, HasCycle and a
+// Checker shared across groups against the reference kernels on random
+// relations, including nodes that appear only as targets beyond every
+// source (node-indexed marks must cover the largest node) and pairs that
+// leave their group.
+func TestKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	verdicts := make(map[string]int)
+	for iter := 0; iter < 2000; iter++ {
+		n := 1 + rng.Intn(12)
+		ps := NewPairSet()
+		for k := rng.Intn(3 * n); k > 0; k-- {
+			a, b := rng.Intn(n), rng.Intn(n+4) // b >= n: target only
+			if rng.Intn(4) != 0 && a >= b {
+				continue // mostly acyclic, so both verdicts occur
+			}
+			ps.Add(a, b)
+		}
+		want := refClosure(ps)
+		tc := ps.TransitiveClosure()
+		if tc.Len() != len(want) {
+			t.Fatalf("iter %d: closure has %d pairs, want %d", iter, tc.Len(), len(want))
+		}
+		for p := range want {
+			if !tc.Has(p.A, p.B) {
+				t.Fatalf("iter %d: closure misses %v", iter, p)
+			}
+		}
+		all := func(int) bool { return true }
+		if got, want := ps.HasCycle(), refCyclic(ps, all); got != want {
+			t.Fatalf("iter %d: HasCycle = %v, want %v (%v)", iter, got, want, ps.Pairs())
+		}
+		// Split 0..n+3 into random groups and check them with one Checker.
+		groupOf := make([]int, n+4)
+		groups := make([][]int, 1+rng.Intn(3))
+		for v := range groupOf {
+			groupOf[v] = rng.Intn(len(groups))
+			groups[groupOf[v]] = append(groups[groupOf[v]], v)
+		}
+		var chk Checker
+		for gi, g := range groups {
+			in := func(v int) bool { return v >= 0 && v < len(groupOf) && groupOf[v] == gi }
+			// Check sees the members in random order; the reflexive
+			// pair it reports must still be the smallest.
+			shuffled := append([]int(nil), g...)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			err := chk.Check(ps, shuffled)
+			var wantErr error
+			kind := "ok"
+			for _, v := range g {
+				if ps.Has(v, v) {
+					wantErr = fmt.Errorf("order: reflexive pair %d ≺ %d", v, v)
+					kind = "reflexive"
+					break
+				}
+			}
+			if wantErr == nil && refCyclic(ps, in) {
+				wantErr = fmt.Errorf("order: relation contains a cycle")
+				kind = "cycle"
+			}
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("iter %d group %v: Check = %v, want %v (%v)", iter, g, err, wantErr, ps.Pairs())
+			}
+			verdicts[kind]++
+		}
+	}
+	if len(verdicts) != 3 {
+		t.Errorf("verdicts %v: want ok, reflexive and cycle all to occur", verdicts)
 	}
 }

@@ -55,13 +55,15 @@ type Lit struct {
 // [litOff[bi], litOff[bi]+n*n) with ID litOff[bi]+i*n+j meaning "member i
 // precedes member j" (diagonal IDs are unused padding — the waste is n
 // bytes per block and buys a divide-free encode/decode). The per-literal
-// decode tables (litBlk, litInv) are filled alongside. It errors when the
-// literal space would overflow the int32 ID type.
-func (sv *Solver) buildBlocks() error {
+// decode tables (litBlk, litInv) are filled alongside. It returns each
+// relation's entity groups, for groundRules, and errors when the literal
+// space would overflow the int32 ID type.
+func (sv *Solver) buildBlocks() (map[string][]relation.EntityGroup, error) {
+	groups := make(map[string][]relation.EntityGroup, len(sv.Spec.Relations))
 	for _, r := range sv.Spec.Relations {
-		sv.buildRelationBlocks(r)
+		groups[r.Schema.Name] = sv.buildRelationBlocks(r)
 	}
-	return sv.assignLitSpace()
+	return groups, sv.assignLitSpace()
 }
 
 // buildRelationBlocks appends the blocks of one relation (attribute-major,
@@ -69,8 +71,8 @@ func (sv *Solver) buildBlocks() error {
 // layout: reorderByComponent permutes the table so each component's
 // blocks end up contiguous, and every cross-generation translation in
 // ApplyDelta goes through the blockOf key index, never through positional
-// assumptions.
-func (sv *Solver) buildRelationBlocks(r *relation.TemporalInstance) {
+// assumptions. It returns the relation's entity groups.
+func (sv *Solver) buildRelationBlocks(r *relation.TemporalInstance) []relation.EntityGroup {
 	sv.relOf[r.Schema.Name] = r
 	groups := r.Entities()
 	// One position table per relation, shared by every block of the
@@ -98,6 +100,7 @@ func (sv *Solver) buildRelationBlocks(r *relation.TemporalInstance) {
 			sv.blocks = append(sv.blocks, b)
 		}
 	}
+	return groups
 }
 
 // assignLitSpace lays the dense literal-ID space over the block table and
@@ -225,12 +228,14 @@ func (sv *Solver) addRule(body []int32, head int32) {
 
 // groundRules instantiates denial constraints and copy-function
 // compatibility conditions into CSR Horn rules over literal IDs, one
-// segment per source.
-func (sv *Solver) groundRules() error {
+// segment per source. groups holds each relation's entity groups as
+// buildBlocks computed them — the groups dc.Ground would recompute per
+// constraint, in the same order, so the rules come out the same.
+func (sv *Solver) groundRules(groups map[string][]relation.EntityGroup) error {
 	sv.ruleStart = append(sv.ruleStart, 0)
 	for _, c := range sv.Spec.Constraints {
 		sv.beginSeg(segConstraint, c.Name)
-		grs, err := dc.Ground(c, sv.relOf[c.Relation])
+		grs, err := dc.GroundGroups(c, sv.relOf[c.Relation], groups[c.Relation])
 		if err != nil {
 			return err
 		}

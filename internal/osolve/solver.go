@@ -153,10 +153,11 @@ func New(s *spec.Spec) (*Solver, error) {
 		cdclBudget: defaultCDCLBudget,
 	}
 	sv.SetWorkers(runtime.GOMAXPROCS(0))
-	if err := sv.buildBlocks(); err != nil {
+	groups, err := sv.buildBlocks()
+	if err != nil {
 		return nil, err
 	}
-	if err := sv.groundRules(); err != nil {
+	if err := sv.groundRules(groups); err != nil {
 		return nil, err
 	}
 	sv.buildComponents()

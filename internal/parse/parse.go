@@ -33,6 +33,34 @@ type parser struct {
 	file *File
 	// schemas declared so far, for validation while parsing.
 	schemas map[string]*relation.Schema
+	// labels resolves tuple labels per relation name for order and copy
+	// lines; see labelIndex.
+	labels map[string]*labelIndex
+}
+
+// labelIndex maps one relation's tuple labels to indexes. It indexes the
+// tuples added since the last lookup, so a whole file costs time linear
+// in its tuples however rows, orders and copies interleave. Like
+// relation.Instance.LabelIndex, the first tuple with a label wins.
+type labelIndex struct {
+	idx map[string]int
+	n   int // tuples indexed so far
+}
+
+// labelIndex resolves a tuple label of dt, as dt.LabelIndex would.
+func (p *parser) labelIndex(dt *relation.TemporalInstance, label string) (int, bool) {
+	li := p.labels[dt.Schema.Name]
+	if li == nil {
+		li = &labelIndex{idx: make(map[string]int, len(dt.Labels))}
+		p.labels[dt.Schema.Name] = li
+	}
+	for ; li.n < len(dt.Labels); li.n++ {
+		if _, dup := li.idx[dt.Labels[li.n]]; !dup {
+			li.idx[dt.Labels[li.n]] = li.n
+		}
+	}
+	i, ok := li.idx[label]
+	return i, ok
 }
 
 // ParseFile parses a complete specification file.
@@ -45,6 +73,7 @@ func ParseFile(src string) (*File, error) {
 		toks:    toks,
 		file:    &File{Spec: spec.New()},
 		schemas: make(map[string]*relation.Schema),
+		labels:  make(map[string]*labelIndex),
 	}
 	for !p.at(tokEOF, "") {
 		switch {
@@ -273,11 +302,11 @@ func (p *parser) parseOrder(dt *relation.TemporalInstance) error {
 		if err != nil {
 			return err
 		}
-		ai, ok := dt.LabelIndex(a)
+		ai, ok := p.labelIndex(dt, a)
 		if !ok {
 			return fmt.Errorf("parse: unknown tuple label %s in %s", a, dt.Schema.Name)
 		}
-		bi, ok := dt.LabelIndex(b)
+		bi, ok := p.labelIndex(dt, b)
 		if !ok {
 			return fmt.Errorf("parse: unknown tuple label %s in %s", b, dt.Schema.Name)
 		}
@@ -534,11 +563,11 @@ func (p *parser) parseCopy() error {
 		if err != nil {
 			return err
 		}
-		ti, ok := tgt.LabelIndex(tl)
+		ti, ok := p.labelIndex(tgt, tl)
 		if !ok {
 			return fmt.Errorf("parse: copy %s maps unknown target label %s", name, tl)
 		}
-		si, ok := src.LabelIndex(sl)
+		si, ok := p.labelIndex(src, sl)
 		if !ok {
 			return fmt.Errorf("parse: copy %s maps unknown source label %s", name, sl)
 		}

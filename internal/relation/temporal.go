@@ -70,28 +70,56 @@ func (dt *TemporalInstance) MustAddOrder(attr string, i, j int) {
 }
 
 // Validate checks that every per-attribute relation is a strict partial
-// order on each entity group (irreflexive, acyclic, EID-respecting).
+// order on each entity group (irreflexive, acyclic, EID-respecting). It
+// runs in time linear in tuples plus pairs: the entity groups are built
+// once, and one order.Checker serves every attribute and group.
 func (dt *TemporalInstance) Validate() error {
+	var groups []EntityGroup
+	var chk order.Checker
 	for _, ai := range dt.Schema.NonEIDIndexes() {
 		ps := dt.Orders[ai]
-		if ps == nil {
+		if ps == nil || ps.Len() == 0 {
 			continue
 		}
-		for _, p := range ps.Pairs() {
-			if p.A < 0 || p.A >= dt.Len() || p.B < 0 || p.B >= dt.Len() {
-				return fmt.Errorf("relation: %s.%s order pair (%d,%d) out of range",
-					dt.Schema.Name, dt.Schema.Attrs[ai], p.A, p.B)
-			}
-			if dt.EID(p.A) != dt.EID(p.B) {
-				return fmt.Errorf("relation: %s.%s order pair (%s,%s) crosses entities",
-					dt.Schema.Name, dt.Schema.Attrs[ai], dt.Label(p.A), dt.Label(p.B))
-			}
+		if err := dt.checkPairs(ai, ps); err != nil {
+			return err
 		}
-		for _, g := range dt.Entities() {
-			if err := ps.IsStrictPartialOrderOn(g.Members); err != nil {
+		if groups == nil {
+			groups = dt.Entities()
+		}
+		for _, g := range groups {
+			if err := chk.Check(ps, g.Members); err != nil {
 				return fmt.Errorf("relation: %s.%s on entity %s: %w",
 					dt.Schema.Name, dt.Schema.Attrs[ai], g.EID, err)
 			}
+		}
+	}
+	return nil
+}
+
+// checkPairs reports the first pair of ps in (A, B) order that is out of
+// range or crosses entities. The test runs over Range; only an instance
+// that fails it pays for the sorted Pairs walk that names the first bad
+// pair.
+func (dt *TemporalInstance) checkPairs(ai int, ps *order.PairSet) error {
+	n := dt.Len()
+	inRange := func(a, b int) bool { return a >= 0 && a < n && b >= 0 && b < n }
+	ok := true
+	ps.Range(func(a, b int) bool {
+		ok = inRange(a, b) && dt.EID(a) == dt.EID(b)
+		return ok
+	})
+	if ok {
+		return nil
+	}
+	for _, p := range ps.Pairs() {
+		if !inRange(p.A, p.B) {
+			return fmt.Errorf("relation: %s.%s order pair (%d,%d) out of range",
+				dt.Schema.Name, dt.Schema.Attrs[ai], p.A, p.B)
+		}
+		if dt.EID(p.A) != dt.EID(p.B) {
+			return fmt.Errorf("relation: %s.%s order pair (%s,%s) crosses entities",
+				dt.Schema.Name, dt.Schema.Attrs[ai], dt.Label(p.A), dt.Label(p.B))
 		}
 	}
 	return nil

@@ -121,25 +121,29 @@ func (s *Server) decidePTime(e *Entry, req *api.DecisionRequest, q *query.Query)
 		for i, r := range reqs {
 			conv[i] = tractable.OrderRequirement{Rel: r.Rel, Attr: r.Attr, I: r.I, J: r.J}
 		}
-		ok, err := tractable.CertainOrder(sp, conv)
+		po, err := tractable.POInfinity(sp)
+		if err != nil {
+			return out, err
+		}
+		ok, err := po.CertainOrder(sp, conv)
 		if err != nil {
 			return out, err
 		}
 		out.Holds = &ok
-		if ok {
-			if consistent, err := tractable.Consistent(sp); err == nil && !consistent {
-				out.VacuouslyTrue = true
-			}
-		}
+		out.VacuouslyTrue = ok && !po.Consistent
 
 	case api.OpDeterministic:
 		rels, err := targetRelations(e, req.Relation)
 		if err != nil {
 			return out, err
 		}
+		po, err := tractable.POInfinity(sp)
+		if err != nil {
+			return out, err
+		}
 		ok := true
 		for _, rel := range rels {
-			det, err := tractable.Deterministic(sp, rel)
+			det, err := po.Deterministic(sp, rel)
 			if err != nil {
 				return out, err
 			}
@@ -149,11 +153,7 @@ func (s *Server) decidePTime(e *Entry, req *api.DecisionRequest, q *query.Query)
 			}
 		}
 		out.Holds = &ok
-		if ok {
-			if consistent, err := tractable.Consistent(sp); err == nil && !consistent {
-				out.VacuouslyTrue = true
-			}
-		}
+		out.VacuouslyTrue = ok && !po.Consistent
 
 	case api.OpCertainAnswers:
 		res, consistent, err := tractable.CertainAnswersSP(sp, q)

@@ -301,12 +301,8 @@ func (d *Delta) Apply(s *Spec) (*Spec, *ApplyInfo, error) {
 	// below for exactly the (attribute, entity) groups that gained pairs —
 	// not the whole relation, which would put an O(entities × pairs)
 	// sweep on the incremental path.
-	type orderTouch struct {
-		rel string
-		ai  int
-		eid relation.Value
-	}
-	touched := make(map[orderTouch]bool)
+	var touches []orderTouch
+	seen := make(map[orderTouch]bool)
 	for _, oa := range d.Orders {
 		r := cow(oa.Rel)
 		ai, ok := r.Schema.AttrIndex(oa.Attr)
@@ -317,20 +313,13 @@ func (d *Delta) Apply(s *Spec) (*Spec, *ApplyInfo, error) {
 		if err := r.AddOrder(oa.Attr, oa.I, oa.J); err != nil {
 			return nil, nil, err
 		}
-		touched[orderTouch{oa.Rel, ai, r.EID(oa.I)}] = true
+		if ot := (orderTouch{oa.Rel, ai, r.EID(oa.I)}); !seen[ot] {
+			seen[ot] = true
+			touches = append(touches, ot)
+		}
 	}
-	for ot := range touched {
-		r, _ := out.Relation(ot.rel)
-		var members []int
-		for i := range r.Tuples {
-			if r.EID(i) == ot.eid {
-				members = append(members, i)
-			}
-		}
-		if cyclicOn(r.Orders[ot.ai], members) {
-			return nil, nil, fmt.Errorf("spec: delta on %s.%s entity %s: order contains a cycle",
-				ot.rel, r.Schema.Attrs[ot.ai], ot.eid)
-		}
+	if err := checkTouched(out, touches); err != nil {
+		return nil, nil, err
 	}
 
 	// Constraint drops, then adds (a drop+add pair of the same name is a
@@ -495,52 +484,42 @@ func Diff(old, new *Spec) (*Delta, error) {
 	return d, nil
 }
 
-// cyclicOn reports whether the order restricted to members has a cycle
-// (including self-loops), via a colour DFS over the successor lists —
-// the restriction stays implicit, so the check costs O(edges among
-// members), not O(all pairs) like PairSet.Restrict.
-func cyclicOn(ps *order.PairSet, members []int) bool {
-	if ps == nil {
-		return false
+// orderTouch names one (relation, attribute, entity) group that a
+// delta's order reveals added pairs to.
+type orderTouch struct {
+	rel string
+	ai  int
+	eid relation.Value
+}
+
+// checkTouched re-checks the touched groups for cycles, in delta order.
+// One pass over each touched relation collects the members of all its
+// touched entities, and one order.Checker serves every group.
+func checkTouched(s *Spec, touches []orderTouch) error {
+	members := make(map[string]map[relation.Value][]int)
+	for _, ot := range touches {
+		if members[ot.rel] == nil {
+			members[ot.rel] = make(map[relation.Value][]int)
+		}
+		members[ot.rel][ot.eid] = nil
 	}
-	in := make(map[int]bool, len(members))
-	for _, m := range members {
-		in[m] = true
-	}
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	colour := make(map[int]int, len(members))
-	var visit func(n int) bool
-	visit = func(n int) bool {
-		colour[n] = grey
-		for _, m := range ps.Succ(n) {
-			if !in[m] || m == n {
-				if m == n {
-					return true
-				}
-				continue
-			}
-			switch colour[m] {
-			case grey:
-				return true
-			case white:
-				if visit(m) {
-					return true
-				}
+	for rel, byEID := range members {
+		r, _ := s.Relation(rel)
+		for i := range r.Tuples {
+			if ms, ok := byEID[r.EID(i)]; ok {
+				byEID[r.EID(i)] = append(ms, i)
 			}
 		}
-		colour[n] = black
-		return false
 	}
-	for _, m := range members {
-		if colour[m] == white && visit(m) {
-			return true
+	var chk order.Checker
+	for _, ot := range touches {
+		r, _ := s.Relation(ot.rel)
+		if chk.Check(r.Orders[ot.ai], members[ot.rel][ot.eid]) != nil {
+			return fmt.Errorf("spec: delta on %s.%s entity %s: order contains a cycle",
+				ot.rel, r.Schema.Attrs[ot.ai], ot.eid)
 		}
 	}
-	return false
+	return nil
 }
 
 // delOf collects the deletes of one relation accumulated so far.

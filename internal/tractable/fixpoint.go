@@ -183,6 +183,12 @@ func CertainOrder(s *spec.Spec, reqs []OrderRequirement) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	return po.CertainOrder(s, reqs)
+}
+
+// CertainOrder decides COP from s's fixpoint po: every requirement must
+// lie in PO∞ (Lemma 6.2). Vacuously true when po is inconsistent.
+func (po *PO) CertainOrder(s *spec.Spec, reqs []OrderRequirement) (bool, error) {
 	if !po.Consistent {
 		return true, nil
 	}
@@ -230,6 +236,13 @@ func Deterministic(s *spec.Spec, rel string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	return po.Deterministic(s, rel)
+}
+
+// Deterministic decides DCIP for rel from s's fixpoint po: per attribute
+// and entity, all PO∞ sinks must agree on the attribute value. Vacuously
+// true when po is inconsistent.
+func (po *PO) Deterministic(s *spec.Spec, rel string) (bool, error) {
 	if !po.Consistent {
 		return true, nil
 	}
@@ -238,8 +251,9 @@ func Deterministic(s *spec.Spec, rel string) (bool, error) {
 		return false, fmt.Errorf("tractable: unknown relation %s", rel)
 	}
 	sets := po.Sets[rel]
+	groups := r.Entities()
 	for _, ai := range r.Schema.NonEIDIndexes() {
-		for _, g := range r.Entities() {
+		for _, g := range groups {
 			sk := sinks(sets[ai], g.Members)
 			for _, i := range sk[1:] {
 				if r.Tuples[i][ai] != r.Tuples[sk[0]][ai] {
